@@ -11,14 +11,15 @@ splits into two kinds of work:
   Inherently sequential per session, but cheap once the kernels above are
   hoisted out of it.
 
-:class:`BatchedPipeline` fuses the cascade across S sessions: the frames of
-every session's block are laid out as one ``(ΣTᵢ, n_bins)`` row matrix and
-filtered with exactly two convolution launches (one per cascade stage),
-then the per-session walks consume their slices. Because the fused row
-kernel (:func:`repro.dsp.filters.fir_filter_rows`) is bit-for-bit equal to
-filtering each row alone, batching S sessions — including the S=1
-degenerate case — produces *exactly* the outputs of running each session's
-detector by itself; the golden-trace suite asserts that equality.
+:func:`launch_stage1` — the tree's one multi-session stage-1 launcher,
+shared by :class:`BatchedPipeline` and the process-sharded worker's tick —
+lays the sessions' blocks out as cache-sized ``(ΣTᵢ, n_bins)`` row
+matrices, each filtered with two convolution launches (one per cascade
+stage), and the per-session walks consume their slices. Because the
+fused row kernel (:func:`repro.dsp.filters.fir_filter_rows`) is bit-for-bit
+equal to filtering each row alone, batching S sessions — including the
+S=1 degenerate case — produces *exactly* the outputs of running each
+session's detector by itself; the golden-trace suite asserts that equality.
 
 Ragged blocks (sessions advancing by different frame counts, including
 zero) are first-class: pass a list of per-session blocks.
@@ -26,12 +27,15 @@ zero) are first-class: pass a list of per-session blocks.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
+
 import numpy as np
 
 from repro.core.levd import BlinkDetection
+from repro.core.preprocess import Preprocessor
 from repro.core.realtime import FrameStatus, RealTimeBlinkDetector, RealTimeConfig
 
-__all__ = ["BatchedPipeline"]
+__all__ = ["BatchedPipeline", "launch_stage1"]
 
 #: Element budget for one fused row-matrix launch. Fusing *all* sessions
 #: into a single (ΣTᵢ, n_bins) concatenation stops paying off once the
@@ -45,6 +49,45 @@ __all__ = ["BatchedPipeline"]
 #: out — measured best on the reference host (2^20 and 2^22 both lose
 #: ~10%; the full concat at S=256 loses ~45%).
 _GROUP_ELEMS = 1 << 21
+
+
+def launch_stage1(
+    preprocessors: Sequence[Preprocessor], blocks: Sequence[np.ndarray]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Denoise many sessions' blocks with fused stage-1 launches.
+
+    Yields ``(i, denoised)`` once for every non-empty ``blocks[i]``, where
+    ``denoised`` is exactly ``preprocessors[i].denoise_block(blocks[i])``.
+    Sessions fuse into one row matrix only when they share ``(n_bins,
+    dtype, preprocessor config)``, in groups of at most
+    :data:`_GROUP_ELEMS` elements. Each group launches lazily, when the
+    caller asks for its first slice, so running each session's walk
+    before advancing keeps the slices cache-warm.
+    """
+    groups: list[list[int]] = []
+    open_groups: dict[tuple[object, ...], tuple[list[int], int]] = {}
+    for i, block in enumerate(blocks):
+        n_frames, n_bins = block.shape
+        if not n_frames:
+            continue
+        key = (n_bins, block.dtype, preprocessors[i].config)
+        group, rows = open_groups.get(key, ([], 0))
+        if not group or rows + n_frames > max(1, _GROUP_ELEMS // max(1, n_bins)):
+            group, rows = [], 0
+            groups.append(group)
+        group.append(i)
+        open_groups[key] = (group, rows + n_frames)
+    for group in groups:
+        if len(group) == 1:
+            yield group[0], preprocessors[group[0]].denoise_block(blocks[group[0]])
+            continue
+        denoised_all = preprocessors[group[0]].denoise_block(
+            np.concatenate([blocks[i] for i in group], axis=0)
+        )
+        offset = 0
+        for i in group:
+            yield i, denoised_all[offset : offset + blocks[i].shape[0]]
+            offset += blocks[i].shape[0]
 
 
 class BatchedPipeline:
@@ -94,59 +137,10 @@ class BatchedPipeline:
         ``detector.process_block`` would have returned alone.
         """
         blocks = self._normalize(blocks)
-        # Stage 1, fused across sessions: one row matrix, two convolution
-        # launches, regardless of S. Each session's preprocessor would
-        # produce these same rows (the cascade is stateless per frame and
-        # identical across equal configs); injecting them skips S separate
-        # kernel launches.
-        lengths = [b.shape[0] for b in blocks]
-        nonempty = [b for b in blocks if b.shape[0]]
         outputs: list[list[FrameStatus]] = [[] for _ in blocks]
-        if not nonempty:
-            return outputs
-        geometries = {(b.shape[1], b.dtype) for b in nonempty}
-        if len(geometries) == 1:
-            # Group sessions so each fused launch stays cache-sized (see
-            # _GROUP_ELEMS): a group is concatenated, denoised with one
-            # kernel launch, and its walks run while those rows are warm.
-            n_bins = nonempty[0].shape[1]
-            max_rows = max(1, _GROUP_ELEMS // max(1, n_bins))
-            group: list[int] = []
-            group_rows = 0
-
-            def _run_group(indices: list[int]) -> None:
-                if len(indices) == 1:
-                    i = indices[0]
-                    outputs[i] = self.detectors[i].process_block(blocks[i])
-                    return
-                rows = np.concatenate([blocks[i] for i in indices], axis=0)
-                denoised_all = self.detectors[indices[0]].preprocessor.denoise_block(rows)
-                offset = 0
-                for i in indices:
-                    denoised = denoised_all[offset : offset + lengths[i]]
-                    offset += lengths[i]
-                    outputs[i] = self.detectors[i].process_block(
-                        blocks[i], denoised=denoised
-                    )
-
-            for i, block in enumerate(blocks):
-                if not lengths[i]:
-                    continue
-                if group and group_rows + lengths[i] > max_rows:
-                    _run_group(group)
-                    group = []
-                    group_rows = 0
-                group.append(i)
-                group_rows += lengths[i]
-            if group:
-                _run_group(group)
-        else:
-            # Mixed bin counts or dtypes cannot share one row matrix (the
-            # concatenation would promote dtypes and change result types);
-            # fall back to per-session kernels (still fused per block).
-            for i, block in enumerate(blocks):
-                if lengths[i]:
-                    outputs[i] = self.detectors[i].process_block(block)
+        preprocessors = [det.preprocessor for det in self.detectors]
+        for i, denoised in launch_stage1(preprocessors, blocks):
+            outputs[i] = self.detectors[i].process_block(blocks[i], denoised=denoised)
         return outputs
 
     def finish(self) -> list[BlinkDetection | None]:

@@ -104,8 +104,9 @@ class FrameDropEvent(FleetEvent):
         How many frames this record accounts for.
     where:
         ``"fifo"`` (device FIFO overflow / reset flush), ``"queue"``
-        (scheduler backpressure, drop-oldest), or ``"stale"`` (queued
-        before a restart, flushed instead of fed to the new detector).
+        (backpressure), ``"stale"`` (queued before a restart, flushed
+        instead of fed to the new detector), ``"error"`` (in a batch
+        whose processing raised) or ``"crash"`` (in a dead shard's ring).
     """
 
     n_dropped: int
@@ -114,12 +115,14 @@ class FrameDropEvent(FleetEvent):
 
 @dataclass(frozen=True)
 class FaultEvent(FleetEvent):
-    """An SPI fault was observed on the session's wire.
+    """A fault was observed: on the session's SPI wire, or an exception
+    while a worker processed its frames.
 
     Attributes
     ----------
     detail:
-        The error message from the driver.
+        The error message from the driver, or the exception and where
+        it was raised.
     terminal:
         True when the session gave up recovering and stopped.
     """

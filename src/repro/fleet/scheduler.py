@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -233,12 +234,15 @@ class FleetScheduler:
         was accepted without shedding, False when the oldest queued
         frame had to be dropped to make room. Never blocks on a full
         queue and is safe to call from any thread (including an asyncio
-        event loop thread).
+        event loop thread). A frame the session cannot take (see
+        :meth:`~repro.fleet.session.DetectorSession.check_frame`) raises
+        :class:`ValueError` before anything is enqueued.
         """
         with self._cond:
             slot = self._by_id.get(session_id)
         if slot is None:
             raise KeyError(f"unknown session id {session_id!r}")
+        slot.session.check_frame(item[2])
         return not self._enqueue(slot, item)
 
     def start(self) -> None:
@@ -310,13 +314,27 @@ class FleetScheduler:
                     self._cond.wait(timeout=0.05)
                     continue
                 batch = [slot.queue.popleft() for _ in range(min(batch_max, len(slot.queue)))]
+            session = slot.session
             try:
                 # One fused kernel launch for the whole drained batch;
                 # bit-identical to feeding the frames one at a time.
-                slot.session.process_batch(
+                session.process_batch(
                     [item for item, _ in batch],
                     enqueued_ats=[enqueued_at for _, enqueued_at in batch],
                 )
+            except Exception as exc:  # reprolint: disable=except-hygiene
+                # Fault containment: a processing fault costs its session
+                # the batch's unsettled frames, counted and evented; the
+                # worker thread lives on to serve every other session.
+                lost = len(batch) - session._batch_settled
+                if lost > 0:
+                    self.metrics.counter(f"session.{session.session_id}.dropped_error").inc(lost)
+                    self.metrics.counter("fleet.dropped_error").inc(lost)
+                    session._emit(
+                        FrameDropEvent(session.session_id, session.time_s, lost, where="error")
+                    )
+                where = traceback.extract_tb(exc.__traceback__)[-1]
+                session._note_fault(f"processing error {exc!r} at {where.filename}:{where.lineno}")
             finally:
                 with self._cond:
                     slot.claimed = False

@@ -1,8 +1,9 @@
 """One vehicle's detector session: a supervised lifecycle around the stack.
 
-:class:`DetectorSession` owns a full per-vehicle pipeline — emulated
-chip, (optionally faulty) SPI wire, host driver, frame stream, streaming
-blink detector — and wraps it in the state machine a service needs:
+:class:`DetectorSession` owns a streaming blink detector — plus, when
+built from a world, that vehicle's emulated chip, (optionally faulty)
+SPI wire, host driver and frame stream — and wraps it in the state
+machine a service needs:
 
 ::
 
@@ -21,6 +22,9 @@ session: it parks in DEGRADED, keeps *device time moving* (the chip keeps
 sampling into its FIFO — overflowing it, which is counted), then
 soft-resets and reconfigures the chip and re-enters a fresh 2 s cold
 start, exactly the recovery a deployed head unit performs.
+
+A network-fed session (:class:`~repro.gateway.ingest.IngestSession`)
+has no chip and never degrades, but shares every other code path.
 
 Threading contract (enforced by :mod:`repro.fleet.scheduler`):
 :meth:`produce` is only ever called from the scheduler's pump thread and
@@ -53,11 +57,15 @@ from repro.fleet.metrics import Counter, MetricsRegistry
 from repro.hardware.device import UwbRadarDevice
 from repro.hardware.driver import FrameStream, XepDriver
 from repro.hardware.spi import SpiBus, SpiError, SpiSlave
+from repro.store.format import CODE_DTYPES
 
 __all__ = ["SessionState", "SessionConfig", "DetectorSession", "FrameItem"]
 
 #: What the pump hands the workers: (generation, world time s, frame).
 FrameItem = tuple[int, float, np.ndarray]
+
+#: Frame dtypes a session accepts: the ones the shard ring's slots carry.
+_FRAME_DTYPES = tuple(CODE_DTYPES.values())
 
 
 class SessionState(Enum):
@@ -125,8 +133,8 @@ class DetectorSession:
         Stable identifier; prefixes every event and metric.
     frames:
         The vehicle's world: a (n_frames, n_bins) complex matrix the
-        emulated chip samples from. The session keeps its own cursor
-        into it, so a chip reset never rewinds the world — frames that
+        emulated chip samples from. The chip keeps its own cursor into
+        it, so a chip reset never rewinds the world — frames that
         elapse while the session is down are simply gone, as on a road.
     config:
         Policy knobs (:class:`SessionConfig`).
@@ -154,31 +162,32 @@ class DetectorSession:
         frames = np.asarray(frames)
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise ValueError(f"frames must be a non-empty (n_frames, n_bins) matrix, got {frames.shape}")
+        config = config if config is not None else SessionConfig()
+        self._init_session(
+            session_id, frames.shape[1], 100.0 / config.frame_rate_div, config, metrics, sink
+        )
+        self._chip = _EmulatedChip(self, frames, wire_factory)
+
+    def _init_session(
+        self,
+        session_id: str,
+        n_bins: int,
+        frame_rate_hz: float,
+        config: SessionConfig,
+        metrics: MetricsRegistry | None,
+        sink: Callable[[FleetEvent], None] | None,
+    ) -> None:
+        """Everything a session holds besides a chip (shared by subclasses)."""
         self.session_id = session_id
-        self.config = config if config is not None else SessionConfig()
+        self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._sink = sink
-        self._frames = frames
-        self._n_world = frames.shape[0]
-        self.n_bins = frames.shape[1]
-        self.frame_rate_hz = 100.0 / self.config.frame_rate_div
-        self._period_s = 1.0 / self.frame_rate_hz
-
-        self.device = UwbRadarDevice(
-            frame_source=self._feed,
-            fifo_capacity_bytes=self.config.fifo_frames * self.n_bins * 4,
-        )
-        self.wire: SpiSlave = wire_factory(self.device) if wire_factory else self.device
-        self.driver = XepDriver(SpiBus(self.wire), n_bins=self.n_bins)
+        self.n_bins = n_bins
+        self.frame_rate_hz = frame_rate_hz
+        self._chip: _EmulatedChip | None = None
 
         self._lock = threading.Lock()
         self._state = SessionState.INIT  # reprolint: guarded-by(_lock)
-        self._cursor = 0  # next world frame index the chip will sample
-        self._base_cursor = 0  # world index where the current incarnation began
-        self._drops_reported = 0  # per-incarnation FIFO drops already evented
-        self._backoff = 0
-        self._recovery_attempts = 0
-        self._pending_fault: str | None = None
         self._restart_requested = False
         self._stop_requested = False
         self._closed = False
@@ -188,8 +197,9 @@ class DetectorSession:
         self.draining = False
         self._last_time_s = 0.0
         self._last_det_index = 0
+        #: Frames of the current batch processed or flushed stale so far.
+        self._batch_settled = 0
         self._generation = 0  # bumped at every bring-up  # reprolint: guarded-by(_lock)
-        self._stream: FrameStream | None = None
         self.detector: RealTimeBlinkDetector | None = None
         self._blink_times: deque[float] = deque()
         self._last_alert_time_s = float("-inf")
@@ -200,15 +210,6 @@ class DetectorSession:
         self.restarts = 0
 
     # ----------------------------------------------------------------- helpers
-    def _feed(self, _k: int) -> np.ndarray:
-        # The chip samples the *world*, not a tape: the session cursor
-        # only moves forward, so resets lose frames instead of replaying.
-        i = self._cursor
-        if i >= self._n_world:
-            raise IndexError(i)
-        self._cursor = i + 1
-        return self._frames[i]
-
     @property
     def state(self) -> SessionState:
         """Current lifecycle state."""
@@ -222,8 +223,8 @@ class DetectorSession:
 
     @property
     def time_s(self) -> float:
-        """Session device-time clock (seconds of world elapsed)."""
-        return self._cursor * self._period_s
+        """Device-time clock (s): the chip's world clock, else the last processed frame's."""
+        return self._chip.time_s if self._chip is not None else self._last_time_s
 
     @property
     def generation(self) -> int:
@@ -277,31 +278,27 @@ class DetectorSession:
 
     # --------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        """Probe, configure and start the chip; enter the first cold start."""
+        """Enter the first cold start (probing and starting the chip, if any)."""
         if self.state is not SessionState.INIT:
             raise RuntimeError(f"session {self.session_id} already started")
-        try:
-            self._bring_up()
-        except SpiError as exc:
-            self._note_fault(str(exc))
-            self._enter_degraded()
+        if self._chip is not None:
+            self._chip.start()
+        else:
+            self._begin_incarnation()
 
-    def _bring_up(self) -> None:
-        """(Re)configure the chip and build a fresh stream + detector."""
-        self.driver.probe()
-        self.driver.configure(
-            frame_rate_div=self.config.frame_rate_div, tx_power=self.config.tx_power
-        )
-        self.driver.start()
-        self._base_cursor = self._cursor
-        self._drops_reported = 0
-        self._stream = FrameStream(self.driver, self.device)
-        # The generation bump and detector swap are atomic so workers
-        # never feed a frame from a dead incarnation to the new detector.
+    def _begin_incarnation(self, generation: int | None = None) -> None:
+        """Fresh detector under a new generation, in COLD_START (every bring-up).
+
+        The generation bump and detector swap are atomic so workers never
+        feed a frame from a dead incarnation to the new detector. Adopting
+        a given ``generation`` (a shard mirror following its parent) is
+        silent: the parent announces the state change.
+        """
         with self._lock:
-            self._generation += 1
+            self._generation = self._generation + 1 if generation is None else generation
             self.detector = RealTimeBlinkDetector(self.frame_rate_hz, self.config.detector)
-        self._recovery_attempts = 0
+            if generation is not None:
+                self._state = SessionState.COLD_START
         self._transition(SessionState.COLD_START)
 
     def _note_fault(self, detail: str, terminal: bool = False) -> None:
@@ -309,16 +306,32 @@ class DetectorSession:
         self.metrics.counter("fleet.faults").inc()
         self._emit(FaultEvent(self.session_id, self.time_s, detail, terminal=terminal))
 
-    def _enter_degraded(self) -> None:
-        self._backoff = self.config.recovery_backoff_frames
-        self._transition(SessionState.DEGRADED)
+    def _count_restart(self, reason: str, attempts: int = 1) -> None:
+        self.restarts += 1
+        self._metric("restarts").inc()
+        self.metrics.counter("fleet.restarts").inc()
+        self._emit(RestartEvent(self.session_id, self.time_s, reason, attempts=attempts))
 
     def _shutdown(self) -> None:
-        try:
-            self.driver.stop()
-        except SpiError:
-            pass  # a dead wire cannot keep us from declaring the end
+        if self._chip is not None:
+            self._chip.stop()
         self._transition(SessionState.STOPPED)
+
+    def check_frame(self, frame: object) -> None:
+        """Raise :class:`ValueError` unless ``frame`` fits this session.
+
+        A frame is one ``(n_bins,)`` row in a dtype the shard ring and
+        the ``.rst`` store carry — little-endian complex64 or complex128,
+        as a byte-swapped row would be misread off the ring — and both
+        backends' ``submit`` check before anything is enqueued.
+        """
+        if not isinstance(frame, np.ndarray):
+            raise ValueError(f"session {self.session_id}: frame must be an ndarray")
+        if frame.shape != (self.n_bins,) or frame.dtype not in _FRAME_DTYPES:
+            raise ValueError(
+                f"session {self.session_id}: frame {frame.dtype.str}{list(frame.shape)} is not "
+                f"one ({self.n_bins},) row of <c8 or <c16"
+            )
 
     def request_restart(self) -> None:
         """Ask for an operator restart (honoured on the next produce)."""
@@ -333,7 +346,8 @@ class DetectorSession:
         """Advance one frame period; return ``(generation, time_s, frame)``.
 
         Called once per scheduling round by the pump thread; returns
-        None when no frame arrived this period. All fault handling
+        None when no frame arrived this period (always, without a chip;
+        restart and stop requests are still honoured). All fault handling
         lives here: an :class:`SpiError` parks the session in DEGRADED
         instead of propagating. The generation tag lets :meth:`process`
         flush frames that were queued before a restart instead of
@@ -346,74 +360,19 @@ class DetectorSession:
             self._stop_requested = False
             self._shutdown()
             return None
-        if state is SessionState.DEGRADED:
-            # The chip never stopped sampling: world time advances and
-            # the FIFO overflows while the host backs off — those are
-            # real, counted losses.
-            self.device.tick()
-            self._backoff -= 1
-            if self._backoff <= 0:
-                self._recover(reason="spi_fault")
+        chip = self._chip
+        if chip is not None and state is SessionState.DEGRADED:
+            chip.back_off()
             return None
         if self._restart_requested:
             self._restart_requested = False
-            self._recover(reason="manual")
-            return None
-        try:
-            item = self._stream.poll()
-            self._account_fifo_drops()
-        except SpiError as exc:
-            self._note_fault(str(exc))
-            self._enter_degraded()
-            return None
-        if item is None:
-            if self._stream.exhausted:
-                self.draining = True
-            return None
-        timestamp, frame = item
-        world_time = self._base_cursor * self._period_s + timestamp
-        self._last_time_s = world_time
-        with self._lock:
-            generation = self._generation
-        return generation, world_time, frame
-
-    def _account_fifo_drops(self) -> None:
-        dropped = self._stream.dropped
-        if dropped > self._drops_reported:
-            delta = dropped - self._drops_reported
-            self._drops_reported = dropped
-            self._metric("dropped_fifo").inc(delta)
-            self.metrics.counter("fleet.dropped_fifo").inc(delta)
-            self._emit(FrameDropEvent(self.session_id, self.time_s, delta, where="fifo"))
-
-    def _recover(self, reason: str) -> None:
-        """Soft-reset and reconfigure the chip; re-enter cold start."""
-        # Everything the world produced this incarnation that never made
-        # it to the detector is lost at the reset (FIFO flush + overflow
-        # drops not yet accounted).
-        delivered = self._stream.delivered if self._stream is not None else 0
-        lost = (self._cursor - self._base_cursor) - delivered - self._drops_reported
-        attempts = self._recovery_attempts + 1
-        try:
-            self.driver.soft_reset()
-            self._bring_up()
-        except SpiError as exc:
-            self._recovery_attempts += 1
-            if self._recovery_attempts >= self.config.max_recovery_attempts:
-                self._note_fault(f"recovery abandoned: {exc}", terminal=True)
-                self._shutdown()
+            if chip is not None:
+                chip.recover(reason="manual")
             else:
-                self._note_fault(f"recovery attempt failed: {exc}")
-                self._enter_degraded()
-            return
-        if lost > 0:
-            self._metric("dropped_fifo").inc(lost)
-            self.metrics.counter("fleet.dropped_fifo").inc(lost)
-            self._emit(FrameDropEvent(self.session_id, self.time_s, lost, where="fifo"))
-        self.restarts += 1
-        self._metric("restarts").inc()
-        self.metrics.counter("fleet.restarts").inc()
-        self._emit(RestartEvent(self.session_id, self.time_s, reason, attempts=attempts))
+                self._begin_incarnation()
+                self._count_restart("manual")
+            return None
+        return chip.poll() if chip is not None else None
 
     # ------------------------------------------------------------ process side
     def process(self, item: FrameItem, enqueued_at: float | None = None) -> None:
@@ -456,6 +415,7 @@ class DetectorSession:
         """
         if enqueued_ats is None:
             enqueued_ats = [None] * len(items)
+        self._batch_settled = 0
         start = 0
         for k in range(1, len(items) + 1):
             if k == len(items) or items[k][0] != items[start][0]:
@@ -483,13 +443,18 @@ class DetectorSession:
                 self._metric("dropped_stale").inc()
                 self.metrics.counter("fleet.dropped_stale").inc()
                 self._emit(FrameDropEvent(self.session_id, time_s, 1, where="stale"))
+            self._batch_settled += len(items)
             return
         statuses = detector.process_block(
             np.stack([frame for _, _, frame in items]), denoised=denoised
         )
         done_at = time.perf_counter()
         self.frames_processed += len(statuses)
+        self._batch_settled += len(statuses)
+        # The end-of-stream flush anchors on this frame: time and index
+        # must describe the same one.
         self._last_det_index = statuses[-1].frame_index
+        self._last_time_s = items[-1][1]
         self._metric("frames_processed").inc(len(statuses))
         self.metrics.counter("fleet.frames_processed").inc(len(statuses))
         for (_, time_s, _), status, enqueued_at in zip(items, statuses, enqueued_ats):
@@ -518,20 +483,14 @@ class DetectorSession:
             self._mirror_state(generation, time_s, selected=status.selected_bin != -1)
 
     def _mirror_state(self, generation: int, time_s: float, selected: bool) -> None:
-        new_state: SessionState | None = None
         with self._lock:
-            if self._generation == generation:
-                if self._state is SessionState.COLD_START and selected:
-                    self._state = new_state = SessionState.RUNNING
-                elif self._state is SessionState.RUNNING and not selected:
-                    self._state = new_state = SessionState.COLD_START
-        if new_state is not None:
-            old = (
-                SessionState.COLD_START
-                if new_state is SessionState.RUNNING
-                else SessionState.RUNNING
-            )
-            self._emit(StateChangeEvent(self.session_id, time_s, old.value, new_state.value))
+            old = self._state
+            new = SessionState.RUNNING if selected else SessionState.COLD_START
+            cycling = old in (SessionState.COLD_START, SessionState.RUNNING)
+            if self._generation != generation or not cycling or new is old:
+                return
+            self._state = new
+        self._emit(StateChangeEvent(self.session_id, time_s, old.value, new.value))
 
     def _on_blink(self, time_s: float, frame_index: int, prominence: float) -> None:
         event = BlinkEvent(self.session_id, time_s, frame_index, prominence)
@@ -569,14 +528,23 @@ class DetectorSession:
         if self._closed:
             return
         self._closed = True
-        detector = self.detector
-        if detector is not None:
-            event = detector.finish()
-            if event is not None:
-                apex = self._apex_time(self._last_time_s, self._last_det_index, event.frame_index)
-                self._on_blink(apex, event.frame_index, event.prominence)
+        self.flush_detector()
         if self.state is not SessionState.STOPPED:
             self._shutdown()
+
+    def flush_detector(self) -> None:
+        """Emit the detector's pending end-of-stream blink, if any.
+
+        :meth:`close` calls this before stamping STOPPED; a shard
+        worker's mirror calls it alone, as its parent owns the lifecycle.
+        """
+        detector = self.detector
+        if detector is None:
+            return
+        event = detector.finish()
+        if event is not None:
+            apex = self._apex_time(self._last_time_s, self._last_det_index, event.frame_index)
+            self._on_blink(apex, event.frame_index, event.prominence)
 
     # ------------------------------------------------------------- convenience
     def run_serial(self) -> None:
@@ -598,10 +566,147 @@ class DetectorSession:
         return {
             "state": self.state.value,
             "time_s": round(self.time_s, 3),
-            "frames_world": self._cursor,
+            "frames_world": self._chip.cursor if self._chip is not None else 0,
             "frames_processed": self.frames_processed,
             "blinks": len(self.blink_events),
             "restarts": self.restarts,
             "dropped_fifo": self._metric("dropped_fifo").value,
             "dropped_queue": self._metric("dropped_queue").value,
         }
+
+
+class _EmulatedChip:
+    """A world-fed session's emulated chip: device, wire, driver, stream,
+    world cursor, FIFO-drop accounting and soft-reset recovery. Events,
+    metrics and transitions all go through the owning session.
+    """
+
+    def __init__(
+        self,
+        session: DetectorSession,
+        frames: np.ndarray,
+        wire_factory: Callable[[SpiSlave], SpiSlave] | None,
+    ) -> None:
+        self._session = session
+        self._frames = frames
+        self.n_world = frames.shape[0]
+        self._period_s = 1.0 / session.frame_rate_hz
+        self.device = UwbRadarDevice(
+            frame_source=self._feed,
+            fifo_capacity_bytes=session.config.fifo_frames * session.n_bins * 4,
+        )
+        self.wire: SpiSlave = wire_factory(self.device) if wire_factory else self.device
+        self.driver = XepDriver(SpiBus(self.wire), n_bins=session.n_bins)
+        self.cursor = 0  # next world frame index the chip will sample
+        self._base_cursor = 0  # world index where the current incarnation began
+        self._drops_reported = 0  # per-incarnation FIFO drops already evented
+        self._backoff = 0
+        self._recovery_attempts = 0
+        self._stream = FrameStream(self.driver, self.device)
+
+    def _feed(self, _k: int) -> np.ndarray:
+        # The chip samples the *world*, not a tape: the cursor only
+        # moves forward, so resets lose frames instead of replaying.
+        i = self.cursor
+        if i >= self.n_world:
+            raise IndexError(i)
+        self.cursor = i + 1
+        return self._frames[i]
+
+    @property
+    def time_s(self) -> float:
+        """Seconds of world elapsed."""
+        return self.cursor * self._period_s
+
+    def start(self) -> None:
+        """Probe, configure and start the chip; a wire fault degrades."""
+        try:
+            self._bring_up()
+        except SpiError as exc:
+            self._session._note_fault(str(exc))
+            self._enter_degraded()
+
+    def _bring_up(self) -> None:
+        """(Re)configure the chip, then start a fresh stream + detector."""
+        config = self._session.config
+        self.driver.probe()
+        self.driver.configure(frame_rate_div=config.frame_rate_div, tx_power=config.tx_power)
+        self.driver.start()
+        self._base_cursor = self.cursor
+        self._drops_reported = 0
+        self._stream = FrameStream(self.driver, self.device)
+        self._recovery_attempts = 0
+        self._session._begin_incarnation()
+
+    def _enter_degraded(self) -> None:
+        self._backoff = self._session.config.recovery_backoff_frames
+        self._session._transition(SessionState.DEGRADED)
+
+    def stop(self) -> None:
+        try:
+            self.driver.stop()
+        except SpiError:
+            pass  # a dead wire cannot keep us from declaring the end
+
+    def back_off(self) -> None:
+        """One DEGRADED frame period; recover once the backoff elapses."""
+        # The chip never stopped sampling: world time advances and the
+        # FIFO overflows while the host backs off — those are real,
+        # counted losses.
+        self.device.tick()
+        self._backoff -= 1
+        if self._backoff <= 0:
+            self.recover(reason="spi_fault")
+
+    def poll(self) -> FrameItem | None:
+        """Read one frame off the wire, stamped with world time."""
+        session = self._session
+        try:
+            item = self._stream.poll()
+            self._account_fifo_drops()
+        except SpiError as exc:
+            session._note_fault(str(exc))
+            self._enter_degraded()
+            return None
+        if item is None:
+            if self._stream.exhausted:
+                session.draining = True
+            return None
+        timestamp, frame = item
+        return session.generation, self._base_cursor * self._period_s + timestamp, frame
+
+    def _account_fifo_drops(self) -> None:
+        dropped = self._stream.dropped
+        if dropped > self._drops_reported:
+            self._count_fifo_drops(dropped - self._drops_reported)
+            self._drops_reported = dropped
+
+    def _count_fifo_drops(self, n: int) -> None:
+        session = self._session
+        session._metric("dropped_fifo").inc(n)
+        session.metrics.counter("fleet.dropped_fifo").inc(n)
+        session._emit(FrameDropEvent(session.session_id, session.time_s, n, where="fifo"))
+
+    def recover(self, reason: str) -> None:
+        """Soft-reset and reconfigure the chip; re-enter cold start."""
+        session = self._session
+        # Everything the world produced this incarnation that never made
+        # it to the detector is lost at the reset (FIFO flush + overflow
+        # drops not yet accounted).
+        lost = (self.cursor - self._base_cursor) - self._stream.delivered - self._drops_reported
+        attempts = self._recovery_attempts + 1
+        try:
+            self.driver.soft_reset()
+            self._bring_up()
+        except SpiError as exc:
+            self._recovery_attempts += 1
+            if self._recovery_attempts >= session.config.max_recovery_attempts:
+                session._note_fault(f"recovery abandoned: {exc}", terminal=True)
+                session._shutdown()
+            else:
+                session._note_fault(f"recovery attempt failed: {exc}")
+                self._enter_degraded()
+            return
+        if lost > 0:
+            self._count_fifo_drops(lost)
+        session._count_restart(reason, attempts=attempts)

@@ -1,14 +1,11 @@
 """Network-fed detector sessions.
 
 :class:`IngestSession` is a :class:`~repro.fleet.session.DetectorSession`
-whose frames arrive over a socket instead of from a locally emulated
-chip. The supervised lifecycle, the detector, the metrics, and the
-worker-side :meth:`~repro.fleet.session.DetectorSession.process_batch`
-path are all inherited unchanged — the vehicle's radar and SPI wire
-simply live on the *other* end of the connection, so the produce side
-here is inert and the gateway feeds the scheduler through
+without a chip: the vehicle's radar and SPI wire live on the *other* end
+of a socket, and the gateway feeds the scheduler through
 :meth:`~repro.fleet.scheduler.FleetScheduler.submit` with items built by
-:meth:`IngestSession.make_item`.
+:meth:`IngestSession.make_item`. Lifecycle, detector, metrics and the
+worker-side ``process_batch`` path are the base class's own.
 
 Because the frames reach the detector bit-for-bit (the wire format
 carries the driver's complex rows verbatim, CRC-protected), an ingest
@@ -19,7 +16,6 @@ test pins down.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -61,36 +57,10 @@ class IngestSession(DetectorSession):
             raise ValueError(f"n_bins must be >= 1, got {n_bins}")
         if not frame_rate_hz > 0:
             raise ValueError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
-        # The emulated chip behind the inherited machinery needs *a*
-        # world; one silent frame is enough — serve mode never pumps,
-        # so the placeholder is never sampled.
-        placeholder = np.zeros((1, n_bins), dtype=np.complex64)
-        div = min(255, max(1, round(100.0 / frame_rate_hz)))
-        base = config if config is not None else SessionConfig()
-        super().__init__(
-            session_id,
-            placeholder,
-            config=replace(base, frame_rate_div=div),
-            metrics=metrics,
-            sink=sink,
-        )
-        # The declared rate wins over the register-quantised one: blink
-        # apex arithmetic divides by this, and it must match the far
-        # side's recording exactly.
-        self.frame_rate_hz = float(frame_rate_hz)
-        self._period_s = 1.0 / self.frame_rate_hz
-
-    def produce(self) -> FrameItem | None:
-        """Ingest sessions have no local frame source; the pump gets None.
-
-        Pending lifecycle requests (:meth:`request_restart` /
-        :meth:`request_stop`) still go through the inherited machinery —
-        a manual restart must bump the generation so queued frames from
-        before it are flushed as stale, exactly as for a pumped session.
-        """
-        if self._restart_requested or self._stop_requested:
-            return super().produce()
-        return None
+        # The declared rate is the detector's rate: blink apex arithmetic
+        # divides by it, and it must match the far side's recording exactly.
+        config = config if config is not None else SessionConfig()
+        self._init_session(session_id, n_bins, float(frame_rate_hz), config, metrics, sink)
 
     def make_item(self, timestamp_s: float, frame: np.ndarray) -> FrameItem:
         """Build a scheduler queue item for one wire frame.

@@ -13,10 +13,10 @@ detector side into worker *processes*, each owning a shard of sessions:
 - A small pickle-over-pipe control plane (:mod:`repro.shard.messages`)
   handles attach/detach/drain/stop, ships per-tick results and metric
   deltas back, and heartbeats each shard.
-- Each worker drains its ring into one fused stage-1 kernel launch per
-  tick (the cross-session row-matrix batching of
-  :class:`~repro.core.batched.BatchedPipeline`), then runs the stateful
-  per-session walks — in its own interpreter, on its own core.
+- Each worker drains a tick of its ring through the shared stage-1
+  launcher (:func:`~repro.core.batched.launch_stage1`), then runs the
+  stateful walks of its chip-free session mirrors — in its own
+  interpreter, on its own core.
 - The parent (:class:`~repro.shard.fleet.ShardedFleet`) supervises the
   shards: a SIGKILLed worker is detected, its in-flight ring slots are
   counted as losses, a replacement is spawned and the dead shard's

@@ -280,13 +280,18 @@ class ShardedFleet:
         Encodes the frame into a checksummed ring slot and publishes it
         to the session's shard. True when accepted; False when the ring
         was full and the frame was shed (counted and evented exactly as
-        the threaded scheduler's queue drops are).
+        the threaded scheduler's queue drops are). A frame the session
+        cannot take (see
+        :meth:`~repro.fleet.session.DetectorSession.check_frame`) raises
+        :class:`ValueError` before anything is enqueued.
         """
         generation, timestamp_s, frame = item
         with self._cond:
             worker = self._assign.get(session_id)
             if worker is None:
                 raise KeyError(f"unknown session id {session_id!r}")
+            session = self._sessions[session_id]
+            session.check_frame(frame)
             index = self._index_of[session_id]
             slot = encode_slot(
                 index,
@@ -301,15 +306,11 @@ class ShardedFleet:
             else:
                 self._dropped[session_id] += 1
             depth = self._accepted[session_id] - self._consumed.get(session_id, 0)
-            session = self._sessions.get(session_id)
         self.metrics.gauge(f"session.{session_id}.queue_depth").set(depth)
         if not accepted:
             self.metrics.counter(f"session.{session_id}.dropped_queue").inc()
             self.metrics.counter("fleet.dropped_queue").inc()
-            if session is not None:
-                session._emit(
-                    FrameDropEvent(session_id, timestamp_s, 1, where="queue")
-                )
+            session._emit(FrameDropEvent(session_id, timestamp_s, 1, where="queue"))
         return accepted
 
     def drained(self, session_id: str) -> bool:

@@ -18,11 +18,15 @@ Byte layout of the shared segment (all integers little-endian)::
     256  slot[0] ... slot[n_slots-1]
 
 The counters sit on their own 64-byte lines so the producer's tail
-stores and the consumer's head stores never share a cache line. An
-aligned 8-byte store is atomic on every platform CPython runs on, and
-each counter has a single writer, so torn reads cannot occur; the
-publish order (slot bytes first, counter second) is preserved because
-each store is a separate C-level ``memcpy`` issued by the interpreter.
+stores and the consumer's head stores never share a cache line. Both
+sides load and store them only through a strided ``uint64`` numpy view,
+so every access is one aligned 8-byte load or store, which is atomic on
+the 64-bit platforms the repo runs on. (``struct.pack_into`` is not: it
+zero-fills the field before writing it, and a reader in the other
+process could see a head of 0 in between.) Each counter has a single
+writer and only grows, so a reader never sees one go backwards; the
+slot bytes are stored before the tail that publishes them, and every
+slot's CRC turns a slot read ahead of its bytes into a loud error.
 
 Slot content reuses the ``.rst`` chunk framing from
 :mod:`repro.store.format` — the wire format the rest of the repo already
@@ -46,11 +50,12 @@ from __future__ import annotations
 import secrets
 import struct
 from multiprocessing import shared_memory
-from typing import Any
 
 import numpy as np
 
 from repro.store.format import (
+    CODE_DTYPES,
+    DTYPE_CODES,
     KIND_CHUNK,
     StoreFormatError,
     StoreIntegrityError,
@@ -64,24 +69,16 @@ __all__ = ["RingFrame", "ShmRing", "encode_slot"]
 _MAGIC = b"SRNG"
 _VERSION = 1
 _META = struct.Struct("<4sHHQQ")
-_U64 = struct.Struct("<Q")
 _ROUTE = struct.Struct("<IIB7xd")
 
 _HEAD_OFF = 64
-_TAIL_OFF = 128
-_DROPS_OFF = 192
+_COUNTER_STRIDE = 64  # head, tail, drops: one 64-byte line each
+_HEAD, _TAIL, _DROPS = 0, 1, 2  # indices into the counter view
 _SLOTS_OFF = 256
 
 _ROUTE_SIZE = _ROUTE.size  # 24
 _BLOCK_OFF = _ROUTE_SIZE  # block header follows the route prefix
 _PAYLOAD_OFF = _BLOCK_OFF + 24  # chunk payload follows the block header
-
-#: Route-prefix dtype codes (same values as the ``.rst`` header codes).
-DTYPE_CODES: dict[str, int] = {"complex64": 1, "complex128": 2}
-CODE_DTYPES: dict[int, np.dtype[Any]] = {
-    1: np.dtype("<c8"),
-    2: np.dtype("<c16"),
-}
 
 
 def slot_bytes_for(n_bins: int, itemsize: int = 16) -> int:
@@ -159,6 +156,9 @@ class ShmRing:
             raise StoreFormatError(f"unsupported ring version {version}")
         self.n_slots = int(n_slots)
         self.slot_bytes = int(slot_bytes)
+        self._counters: np.ndarray = np.ndarray(
+            (3,), dtype="<u8", buffer=shm.buf, offset=_HEAD_OFF, strides=(_COUNTER_STRIDE,)
+        )
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -173,9 +173,9 @@ class ShmRing:
         size = _SLOTS_OFF + slots * slot_bytes
         shm = shared_memory.SharedMemory(name=name, create=True, size=size)
         _META.pack_into(shm.buf, 0, _MAGIC, _VERSION, 0, slots, slot_bytes)
-        for off in (_HEAD_OFF, _TAIL_OFF, _DROPS_OFF):
-            _U64.pack_into(shm.buf, off, 0)
-        return cls(shm, owner=True)
+        ring = cls(shm, owner=True)
+        ring._counters[:] = 0
+        return ring
 
     @classmethod
     def attach(cls, name: str) -> "ShmRing":
@@ -188,29 +188,37 @@ class ShmRing:
         return self._shm.name
 
     # ---------------------------------------------------------------- counters
-    def _read(self, off: int) -> int:
-        value: int = _U64.unpack_from(self._shm.buf, off)[0]
-        return value
+    def _read(self, index: int) -> int:
+        return int(self._counters[index])
 
     @property
     def head(self) -> int:
         """Slots consumed (consumer-owned counter)."""
-        return self._read(_HEAD_OFF)
+        return self._read(_HEAD)
 
     @property
     def tail(self) -> int:
         """Slots published (producer-owned counter)."""
-        return self._read(_TAIL_OFF)
+        return self._read(_TAIL)
 
     @property
     def drops(self) -> int:
         """Frames shed because the ring was full (producer-owned)."""
-        return self._read(_DROPS_OFF)
+        return self._read(_DROPS)
 
     @property
     def size(self) -> int:
-        """Slots currently in flight (published, not yet consumed)."""
-        return self.tail - self.head
+        """Slots currently in flight (published, not yet consumed).
+
+        Read as one consistent snapshot from either process: the tail is
+        taken between two equal reads of the head, so ``0 <= size <=
+        n_slots`` holds even while the other side keeps moving.
+        """
+        while True:
+            head = self._read(_HEAD)
+            tail = self._read(_TAIL)
+            if self._read(_HEAD) == head:
+                return tail - head
 
     # ---------------------------------------------------------------- producer
     def push(self, slot: bytes) -> bool:
@@ -224,15 +232,15 @@ class ShmRing:
         """
         if len(slot) > self.slot_bytes:
             raise ValueError(f"slot of {len(slot)} bytes exceeds slot_bytes={self.slot_bytes}")
-        buf = self._shm.buf
-        tail = self._read(_TAIL_OFF)
-        if tail - self._read(_HEAD_OFF) >= self.n_slots:
-            _U64.pack_into(buf, _DROPS_OFF, self._read(_DROPS_OFF) + 1)
+        counters = self._counters
+        tail = int(counters[_TAIL])
+        if tail - int(counters[_HEAD]) >= self.n_slots:
+            counters[_DROPS] += 1
             return False
         off = _SLOTS_OFF + (tail % self.n_slots) * self.slot_bytes
-        buf[off : off + len(slot)] = slot
+        self._shm.buf[off : off + len(slot)] = slot
         # Publish after the slot bytes are in place (single-writer u64).
-        _U64.pack_into(buf, _TAIL_OFF, tail + 1)
+        counters[_TAIL] = tail + 1
         return True
 
     # ---------------------------------------------------------------- consumer
@@ -244,8 +252,8 @@ class ShmRing:
         A checksum mismatch raises :class:`StoreIntegrityError` — a slot
         the producer published is never silently skipped.
         """
-        head = self._read(_HEAD_OFF)
-        avail = min(self._read(_TAIL_OFF) - head, max_items)
+        head = self._read(_HEAD)
+        avail = min(self._read(_TAIL) - head, max_items)
         out: list[RingFrame] = []
         buf = self._shm.buf
         for k in range(avail):
@@ -274,7 +282,7 @@ class ShmRing:
         if n < 0:
             raise ValueError(f"cannot advance by {n}")
         if n:
-            _U64.pack_into(self._shm.buf, _HEAD_OFF, self._read(_HEAD_OFF) + n)
+            self._counters[_HEAD] += n
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -282,6 +290,9 @@ class ShmRing:
         if self._closed:
             return
         self._closed = True
+        # The counter view exports the segment's buffer; close() refuses
+        # to unmap while any export is alive.
+        del self._counters
         self._shm.close()
 
     def unlink(self) -> None:

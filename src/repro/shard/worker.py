@@ -5,13 +5,14 @@ The worker process owns a shard of sessions. Its loop is a tick:
 1. Drain the control pipe (attach/detach/stop must order ahead of the
    frames they govern).
 2. Drain up to a tick's worth of ring slots, group the frames by
-   session, run **one fused stage-1 kernel launch** over every session's
-   rows at once (the cross-session row-matrix batching of
-   :class:`~repro.core.batched.BatchedPipeline`), then run each
-   session's stateful walk over its slice via the inherited
+   session, hand the per-session blocks to the tree's one multi-session
+   stage-1 launcher (:func:`~repro.core.batched.launch_stage1`, which
+   :class:`~repro.core.batched.BatchedPipeline` also calls), then run
+   each session's stateful walk over its slice via the inherited
    :meth:`~repro.fleet.session.DetectorSession.process_batch` — the same
    code path the threaded scheduler's workers call, which is what makes
-   sharded output bit-identical to threaded output.
+   sharded output bit-identical to threaded output. The sessions are
+   chip-free :class:`~repro.gateway.ingest.IngestSession` mirrors.
 3. Ship a :class:`~repro.shard.messages.ShardReport` (results, events,
    metric deltas, cumulative consumed counts) — after processing, so the
    parent's ``drained()`` implies results are already applied — and
@@ -36,9 +37,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.realtime import RealTimeBlinkDetector
+from repro.core.batched import launch_stage1
+from repro.core.preprocess import Preprocessor
 from repro.fleet.events import FleetEvent
-from repro.fleet.session import SessionState
 from repro.gateway.ingest import IngestSession
 from repro.shard.messages import (
     AttachMsg,
@@ -83,37 +84,18 @@ def mp_context() -> Any:
 class _ShardSession(IngestSession):
     """Worker-side detector session mirroring one parent session.
 
-    Identical to the gateway's :class:`IngestSession` — same
-    ``process_batch`` path, same metrics names, same events — plus the
-    generation bridge: the *parent* owns the produce side (faults,
-    restarts, generation bumps), so when stamped generations move past
-    this mirror's, it rebuilds its detector exactly as the parent's
-    ``_bring_up`` swap would have, and older-generation frames flush as
+    An :class:`IngestSession` (same ``process_batch`` path, same metrics
+    names, same events) plus the generation bridge: the *parent* owns
+    the produce side (faults, restarts, generation bumps), so when
+    stamped generations move past this mirror's, it starts the same new
+    incarnation the parent did, and older-generation frames flush as
     stale through the inherited run splitting.
     """
 
     def adopt_generation(self, generation: int) -> None:
         """Mirror a parent-side restart: fresh detector, cold start."""
-        with self._lock:
-            if generation <= self._generation:
-                return
-            self._generation = generation
-            self.detector = RealTimeBlinkDetector(self.frame_rate_hz, self.config.detector)
-            self._state = SessionState.COLD_START
-
-    def flush_final(self) -> None:
-        """Flush the pending LEVD event (what close() would detect-flush).
-
-        Lifecycle stamping stays with the parent's own ``close()``; only
-        the detector state lives here, so only the detector is flushed.
-        """
-        detector = self.detector
-        if detector is None:
-            return
-        event = detector.finish()
-        if event is not None:
-            apex = self._apex_time(self._last_time_s, self._last_det_index, event.frame_index)
-            self._on_blink(apex, event.frame_index, event.prominence)
+        if generation > self.generation:
+            self._begin_incarnation(generation)
 
 
 class _WorkerState:
@@ -183,7 +165,7 @@ def _drain_tick(ring: ShmRing, state: _WorkerState) -> int:
     groups: dict[int, list[RingFrame]] = {}
     for rf in ring_frames:
         groups.setdefault(rf.session_index, []).append(rf)
-    denoised_of = _fused_stage1(groups, state)
+    routed: list[tuple[_ShardSession, Preprocessor, list[RingFrame]]] = []
     for index, rfs in groups.items():
         session = state.by_index.get(index)
         if session is None:
@@ -192,60 +174,23 @@ def _drain_tick(ring: ShmRing, state: _WorkerState) -> int:
             state.registry.counter("shard.unrouted_frames").inc(len(rfs))
             continue
         session.adopt_generation(max(rf.generation for rf in rfs))
+        # Counted now, shipped by the report that follows this tick.
+        state.consumed[session.session_id] += len(rfs)
+        if session.detector is not None:
+            routed.append((session, session.detector.preprocessor, rfs))
+    blocks = [np.stack([rf.frame for rf in rfs]) for _, _, rfs in routed]
+    for k, denoised in launch_stage1([pre for _, pre, _ in routed], blocks):
+        session, _, rfs = routed[k]
         session.process_batch(
             [(rf.generation, rf.timestamp_s, rf.frame) for rf in rfs],
             enqueued_ats=[rf.enqueued_at for rf in rfs],
-            denoised=denoised_of.get(index),
+            denoised=denoised,
         )
-        state.consumed[session.session_id] += len(rfs)
     consumed = len(ring_frames)
     # Drop every shared-memory view before freeing the slots.
-    del ring_frames, groups, denoised_of
+    del ring_frames, groups, routed
     ring.advance(consumed)
     return consumed
-
-
-def _fused_stage1(
-    groups: dict[int, list[RingFrame]], state: _WorkerState
-) -> dict[int, np.ndarray]:
-    """One denoise launch across every session's tick rows, when legal.
-
-    The fast-time cascade is stateless per row, so fusing sessions is
-    bit-identical to per-session launches — but only when every row
-    agrees on geometry, dtype and detector config. Mixed ticks simply
-    return no slices and each ``process_batch`` launches its own kernel.
-    """
-    fusable: list[tuple[int, _ShardSession, list[RingFrame]]] = []
-    for index, rfs in groups.items():
-        session = state.by_index.get(index)
-        if session is None or session.detector is None:
-            return {}
-        fusable.append((index, session, rfs))
-    if len(fusable) < 2:
-        return {}
-    first = fusable[0][1]
-    geometry = {
-        (session.n_bins, rf.frame.dtype)
-        for _, session, rfs in fusable
-        for rf in rfs
-    }
-    if len(geometry) != 1:
-        return {}
-    reference = first.detector
-    if reference is None:
-        return {}
-    for _, session, _ in fusable[1:]:
-        detector = session.detector
-        if detector is None or detector.config != reference.config:
-            return {}
-    rows = np.stack([rf.frame for _, _, rfs in fusable for rf in rfs])
-    denoised_all = reference.preprocessor.denoise_block(rows)
-    out: dict[int, np.ndarray] = {}
-    offset = 0
-    for index, _, rfs in fusable:
-        out[index] = denoised_all[offset : offset + len(rfs)]
-        offset += len(rfs)
-    return out
 
 
 def shard_worker_main(conn: Connection, ring_name: str) -> None:
@@ -268,7 +213,7 @@ def shard_worker_main(conn: Connection, ring_name: str) -> None:
                         pass
                     session = state.by_id.get(msg.session_id)
                     if session is not None:
-                        session.flush_final()
+                        session.flush_detector()
                     # Build the final report *before* deregistering: the
                     # per-session frame/restart deltas walk ``by_id``, and
                     # the detach drain above is exactly what they cover.

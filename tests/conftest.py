@@ -52,6 +52,22 @@ def drowsy_trace():
     return simulate(scenario, seed=306)
 
 
+@pytest.fixture(scope="session")
+def tail_blink_trace():
+    """An 11 s highway drive whose last blink is only reported by the
+    end-of-stream flush; frames as complex64, as the wire carries them."""
+    from repro.datasets.participants import study_participants
+
+    scenario = Scenario(
+        participant=study_participants()[8],
+        state="awake",
+        road="smooth_highway",
+        duration_s=10.96,
+    )
+    trace = simulate(scenario, seed=208)
+    return trace.frames.astype(np.complex64), np.asarray(trace.timestamps_s)
+
+
 @pytest.fixture()
 def rng():
     """Fresh, seeded generator per test."""

@@ -164,3 +164,64 @@ def test_stacked_sessions_equal_solo(data):
         # the batch must not silently absorb what the scalar path raises.
         assert stacked[0] == "raised"
         assert stacked[1] in {name for kind, name in solos if kind == "raised"}
+
+
+def _spy_launches(monkeypatch):
+    """Record ``(preprocessor config, rows)`` of every stage-1 launch."""
+    from repro.core.preprocess import Preprocessor
+
+    launches = []
+    original = Preprocessor.denoise_block
+
+    def spy(self, frames):
+        launches.append((self.config, len(frames)))
+        return original(self, frames)
+
+    monkeypatch.setattr(Preprocessor, "denoise_block", spy)
+    return launches
+
+
+def test_launcher_never_fuses_across_preprocessor_configs(monkeypatch):
+    """Sessions fuse only with sessions of the same stage-1 config."""
+    from repro.core.batched import launch_stage1
+    from repro.core.preprocess import Preprocessor, PreprocessorConfig
+
+    narrow = PreprocessorConfig(subtract_background=False, smooth_window=8)
+    wide = PreprocessorConfig(subtract_background=False)
+    configs = [narrow, wide, narrow, wide, narrow]
+    preprocessors = [Preprocessor(c) for c in configs]
+    blocks = [scene(seed, 30 + 5 * seed, 24, 9) for seed in range(len(configs))]
+    want = [pre.denoise_block(block) for pre, block in zip(preprocessors, blocks)]
+
+    launches = _spy_launches(monkeypatch)
+    got = dict(launch_stage1(preprocessors, blocks))
+
+    assert sorted(got) == list(range(len(blocks)))
+    for i, denoised in got.items():
+        assert np.array_equal(denoised, want[i])
+    rows_of = {c: sum(len(b) for b, cc in zip(blocks, configs) if cc == c) for c in (narrow, wide)}
+    assert sorted(launches, key=lambda x: x[1]) == sorted(rows_of.items(), key=lambda x: x[1])
+
+
+def test_forced_group_split_stays_bit_identical(monkeypatch):
+    """A cache-budget split mid-batch changes no output: every group's
+    slices equal each session's solo run, walks and end-of-stream too."""
+    import repro.core.batched as batched
+
+    n_bins = 24
+    blocks = [scene(seed, 60 + 7 * seed, n_bins, 6 + seed) for seed in range(5)]
+    solo_dets = [RealTimeBlinkDetector(FRAME_RATE_HZ) for _ in blocks]
+    solos = [det.process_block(block) for det, block in zip(solo_dets, blocks)]
+
+    # Room for about two sessions' rows per launch.
+    monkeypatch.setattr(batched, "_GROUP_ELEMS", 150 * n_bins)
+    launches = _spy_launches(monkeypatch)
+    pipeline = BatchedPipeline(FRAME_RATE_HZ, n_sessions=len(blocks))
+    stacked = pipeline.process_block(blocks)
+
+    assert 1 < len(launches) < len(blocks), "the budget never split a group"
+    assert sum(rows for _, rows in launches) == sum(len(b) for b in blocks)
+    tails = pipeline.finish()
+    for i, solo in enumerate(solos):
+        assert_runs_equal(stacked[i], solo)
+        assert tails[i] == solo_dets[i].finish()

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.fleet.events import FaultEvent, FrameDropEvent
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.session import DetectorSession, SessionState
@@ -194,6 +195,99 @@ class TestServeMode:
         session.close()
 
 
+class TestFrameValidation:
+    BAD_FRAMES = [
+        np.zeros(15, dtype=np.complex64),  # wrong length
+        np.zeros((1, 16), dtype=np.complex64),  # not one row
+        np.zeros(16, dtype=np.float64),  # dtype the ring cannot carry
+        np.zeros(16, dtype=">c8"),  # byte order the ring would misread
+        [0j] * 16,  # not an ndarray
+    ]
+
+    @pytest.mark.parametrize(
+        "frame", BAD_FRAMES, ids=["length", "rank", "dtype", "byteorder", "list"]
+    )
+    def test_bad_frame_rejected_before_enqueue(self, frame):
+        metrics = MetricsRegistry()
+        scheduler = FleetScheduler([], workers=1, metrics=metrics)
+        session = _ingest_session("v0", metrics)
+        scheduler.attach(session)
+        with pytest.raises(ValueError):
+            scheduler.submit("v0", session.make_item(0.0, frame))
+        assert scheduler.queue_depths()["v0"] == 0
+        assert scheduler.dropped()["v0"] == 0
+        session.close()
+
+    def test_bad_frame_leaves_the_pool_serving(self):
+        """One wrong-length frame among good ones once killed a worker
+        thread and stranded the session's queue; now it never enters."""
+        metrics = MetricsRegistry()
+        scheduler = FleetScheduler([], workers=2, metrics=metrics)
+        scheduler.start()
+        session = _ingest_session("v1", metrics)
+        scheduler.attach(session)
+        try:
+            items = list(_frames(session, 5))
+            items[2] = session.make_item(2 / 25.0, np.zeros(15, dtype=np.complex64))
+            rejected = 0
+            for item in items:
+                try:
+                    scheduler.submit("v1", item)
+                except ValueError:
+                    rejected += 1
+            _wait_drained(scheduler, "v1")
+            assert rejected == 1
+            assert session.frames_processed == 4
+            assert all(t.is_alive() for t in scheduler._serve_threads)
+        finally:
+            scheduler.stop()
+            session.close()
+
+
+class TestFaultContainment:
+    def test_detector_exception_costs_the_batch_not_the_worker(self):
+        metrics = MetricsRegistry()
+        scheduler = FleetScheduler([], workers=2, metrics=metrics)
+        faulty = _ingest_session("bad", metrics)
+        healthy = _ingest_session("good", metrics)
+        original = faulty.detector.process_block
+        calls = []
+
+        def explode_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("detector fault")
+            return original(*args, **kwargs)
+
+        faulty.detector.process_block = explode_once
+        for session in (faulty, healthy):
+            scheduler.attach(session)
+            for item in _frames(session, 20):
+                assert scheduler.submit(session.session_id, item)
+        scheduler.start()
+        try:
+            for session in (faulty, healthy):
+                _wait_drained(scheduler, session.session_id)
+            assert len(scheduler._serve_threads) == 2
+            assert all(t.is_alive() for t in scheduler._serve_threads)
+        finally:
+            scheduler.stop()
+        lost = metrics.counter("session.bad.dropped_error").value
+        # The first drained batch (8 frames) is the one that raised.
+        assert lost == 8
+        assert faulty.frames_processed + lost == 20
+        assert metrics.counter("fleet.dropped_error").value == lost
+        drops = [e for e in faulty.events if isinstance(e, FrameDropEvent) and e.where == "error"]
+        assert sum(e.n_dropped for e in drops) == lost
+        assert metrics.counter("session.bad.faults").value == 1
+        [fault] = [e for e in faulty.events if isinstance(e, FaultEvent)]
+        assert "detector fault" in fault.detail
+        assert healthy.frames_processed == 20
+        assert metrics.counter("session.good.dropped_error").value == 0
+        faulty.close()
+        healthy.close()
+
+
 class TestIngestSession:
     def test_declared_rate_wins_over_register_quantisation(self):
         session = IngestSession("r0", n_bins=8, frame_rate_hz=17.3)
@@ -220,6 +314,24 @@ class TestIngestSession:
             IngestSession("bad", n_bins=0, frame_rate_hz=25.0)
         with pytest.raises(ValueError):
             IngestSession("bad", n_bins=8, frame_rate_hz=0.0)
+
+    def test_end_of_stream_blink_stamped_inside_stream(self, tail_blink_trace):
+        """The flushed blink's apex anchors on the last processed frame.
+
+        A session fed by ``submit`` never runs ``produce``; its flush
+        once anchored on a clock only ``produce`` set, stamping this
+        blink at -0.36 s on a 0-10.92 s stream.
+        """
+        frames, stamps = tail_blink_trace
+        session = _ingest_session("tail", n_bins=frames.shape[1])
+        session.process_batch(
+            [session.make_item(float(t), f) for t, f in zip(stamps, frames)]
+        )
+        before = len(session.blink_events)
+        session.close()
+        assert len(session.blink_events) == before + 1, "no end-of-stream blink"
+        assert all(stamps[0] <= t <= stamps[-1] for t in session.blink_times_s)
+        assert session.blink_times_s == sorted(session.blink_times_s)
 
     def test_is_detector_session(self):
         session = IngestSession("sub", n_bins=8, frame_rate_hz=25.0)

@@ -72,7 +72,7 @@ class TestFleetRun:
     def test_metrics_snapshot_is_json_ready(self, service):
         snap = service.metrics_snapshot()
         assert json.loads(json.dumps(snap)) == snap
-        n_world = sum(s._n_world for s in service.sessions.values())
+        n_world = sum(s._chip.n_world for s in service.sessions.values())
         assert snap["counters"]["fleet.frames_processed"] == n_world
         assert snap["histograms"]["fleet.latency_s"]["count"] == n_world
         assert snap["gauges"]["fleet.wall_s"] > 0
@@ -116,7 +116,7 @@ class TestFaultedFleet:
         health = service.health()
         assert health["ok"]["restarts"] == 0
         assert health["ok"]["dropped_fifo"] == 0
-        n_world = service.sessions["ok"]._n_world
+        n_world = service.sessions["ok"]._chip.n_world
         assert health["ok"]["frames_processed"] == n_world
 
     def test_faulted_frames_accounted(self, service):
@@ -131,7 +131,7 @@ class TestFaultedFleet:
             + counters.get("session.hurt.dropped_fifo", 0)
             + counters.get("session.hurt.dropped_stale", 0)
         )
-        assert accounted == session._n_world
+        assert accounted == session._chip.n_world
 
 
 class TestOperatorControl:

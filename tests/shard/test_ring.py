@@ -1,11 +1,16 @@
 """ShmRing: slot framing, SPSC counters, backpressure, integrity.
 
-Pure in-process tests — both ends of the ring are exercised from one
+Mostly in-process tests — both ends of the ring are exercised from one
 process, which is legal (the SPSC contract is about *roles*, one
-producer and one consumer, not about process count).
+producer and one consumer, not about process count). The counter test
+at the end reads the ring from a second process while the first one
+moves it.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -159,3 +164,57 @@ class TestGeometry:
         # The owning context exit unlinked the segment: gone for good.
         with pytest.raises(FileNotFoundError):
             ShmRing.attach(name)
+
+
+def _sample_counters(name, n_slots, ready, stop, results):
+    """Second process: sample head/tail/size until told to stop."""
+    ring = ShmRing.attach(name)
+    samples = violations = 0
+    last_head = last_tail = 0
+    try:
+        ready.set()
+        while not stop.is_set():
+            head, tail, size = ring.head, ring.tail, ring.size
+            if head < last_head or tail < last_tail or not 0 <= size <= n_slots:
+                violations += 1
+            last_head, last_tail = head, tail
+            samples += 1
+    finally:
+        ring.close()
+        results.put((samples, violations))
+
+
+class TestCrossProcessCounters:
+    def test_counters_never_torn_across_processes(self):
+        """A reader in another process sees every counter only grow and
+        ``0 <= size <= n_slots``, while this process pushes and advances."""
+        n_slots = 8
+        ctx = multiprocessing.get_context("spawn")
+        ready, stop, results = ctx.Event(), ctx.Event(), ctx.Queue()
+        with ShmRing.create(n_slots, slot_bytes_for(8)) as ring:
+            sampler = ctx.Process(
+                target=_sample_counters, args=(ring.name, n_slots, ready, stop, results)
+            )
+            sampler.start()
+            try:
+                assert ready.wait(timeout=60), "sampler never attached"
+                slot = encode_slot(0, 1, 0.0, 0.0, _frame())
+                pushed = accepted = 0
+                deadline = time.monotonic() + 1.5
+                while time.monotonic() < deadline:
+                    for _ in range(n_slots + 2):  # overfill: drops too
+                        pushed += 1
+                        accepted += ring.push(slot)
+                    ring.advance(ring.size)
+                stop.set()
+                samples, violations = results.get(timeout=60)
+            finally:
+                stop.set()
+                sampler.join(timeout=60)
+                if sampler.is_alive():
+                    sampler.kill()
+            assert sampler.exitcode == 0
+            assert samples > 1000, "sampler barely ran: the check is vacuous"
+            assert violations == 0
+            assert ring.tail == accepted
+            assert accepted + ring.drops == pushed

@@ -132,6 +132,31 @@ class TestServeSurfaceParity:
             fleet.detach("q0")
             session.close()
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            np.zeros(_N_BINS - 1, dtype=np.complex64),
+            np.zeros(_N_BINS, dtype=np.float64),
+            np.zeros(_N_BINS, dtype=">c8"),
+            [0j] * _N_BINS,
+        ],
+        ids=["length", "dtype", "byteorder", "list"],
+    )
+    def test_bad_frame_rejected_before_enqueue(self, fleet, frame):
+        session = _session("bad0")
+        fleet.attach(session)
+        try:
+            with pytest.raises(ValueError):
+                fleet.submit("bad0", session.make_item(0.0, frame))
+            for item in _frames(session, 3):
+                assert fleet.submit("bad0", item)
+            _wait_idle(fleet)
+            assert session.frames_processed == 3
+            assert fleet.dropped()["bad0"] == 0
+        finally:
+            assert fleet.detach("bad0") == 0
+            session.close()
+
     def test_double_start_raises(self, fleet):
         with pytest.raises(RuntimeError):
             fleet.start()
@@ -231,3 +256,180 @@ class TestBitIdentity:
             (e.frame_index, e.time_s, e.prominence) for e in threaded
         ]
         assert len(threaded) > 0, "trace produced no blinks: gate is vacuous"
+
+
+def _tick_worker(specs):
+    """A shard worker's tick state, in process: ``specs`` are
+    ``(session_id, n_bins, SessionConfig | None)`` attached as indices 0.."""
+    from repro.shard.messages import AttachMsg
+    from repro.shard.worker import _WorkerState
+
+    state = _WorkerState()
+    for index, (sid, n_bins, config) in enumerate(specs):
+        state.attach(AttachMsg(index, sid, n_bins, _FPS, config))
+    return state
+
+
+def _run_ticks(state, slots, n_bins):
+    """Push encoded slots through a ring and drain them tick by tick."""
+    from repro.shard.ring import ShmRing, encode_slot, slot_bytes_for
+    from repro.shard.worker import _drain_tick
+
+    ring = ShmRing.create(64, slot_bytes_for(n_bins))
+    try:
+        for start in range(0, len(slots), 64):
+            for index, generation, t, frame in slots[start : start + 64]:
+                assert ring.push(encode_slot(index, generation, 0.0, t, frame))
+            while _drain_tick(ring, state):
+                pass
+    finally:
+        ring.close()
+        ring.unlink()
+
+
+def _solo(sid, frames, config=None):
+    """The same frames through one ingest session, one block, then flushed."""
+    session = IngestSession(sid, n_bins=frames.shape[1], frame_rate_hz=_FPS, config=config)
+    session.start()
+    session.process_batch([session.make_item(k / _FPS, f) for k, f in enumerate(frames)])
+    session.flush_detector()
+    return session
+
+
+def _blinks(session):
+    return [(e.frame_index, e.time_s, e.prominence) for e in session.blink_events]
+
+
+class TestWorkerTick:
+    """The worker's tick: routing, the shared stage-1 launcher, mirrors."""
+
+    def test_mixed_preprocessor_configs_not_fused(self, lab_trace, monkeypatch):
+        from repro.core.preprocess import Preprocessor, PreprocessorConfig
+        from repro.core.realtime import RealTimeConfig
+        from repro.fleet.session import SessionConfig
+
+        narrow = SessionConfig(
+            detector=RealTimeConfig(
+                preprocessor=PreprocessorConfig(subtract_background=False, smooth_window=8)
+            )
+        )
+        frames = lab_trace.frames[:400]
+        n_bins = frames.shape[1]
+        configs = {"m0": None, "m1": narrow, "m2": None}
+        state = _tick_worker([(sid, n_bins, c) for sid, c in configs.items()])
+        launches = []
+        original = Preprocessor.denoise_block
+
+        def spy(self, block):
+            launches.append((self.config, len(block)))
+            return original(self, block)
+
+        monkeypatch.setattr(Preprocessor, "denoise_block", spy)
+        slots = [(i, 1, k / _FPS, frames[k]) for k in range(len(frames)) for i in range(3)]
+        _run_ticks(state, slots, n_bins)
+        monkeypatch.undo()
+
+        default = RealTimeConfig().preprocessor
+        narrow_pre = narrow.detector.preprocessor
+        assert {c for c, _ in launches} == {default, narrow_pre}
+        # Ticks of 64 slots: the two default-config sessions fuse, the
+        # narrow one launches alone — never in a mixed row matrix.
+        default_rows = [n for c, n in launches if c == default]
+        narrow_rows = [n for c, n in launches if c == narrow_pre]
+        assert sum(default_rows) == 2 * sum(narrow_rows) == 2 * len(frames)
+        assert len(default_rows) == len(narrow_rows)  # one launch per tick each
+        for sid, config in configs.items():
+            mirror = state.by_id[sid]
+            mirror.flush_detector()
+            assert _blinks(mirror) == _blinks(_solo(sid, frames, config))
+            assert mirror.frames_processed == len(frames)
+        assert _blinks(state.by_id["m0"]), "trace produced no blinks: gate is vacuous"
+
+    def test_forced_group_split_bit_identical(self, drowsy_trace, monkeypatch):
+        import repro.core.batched as batched
+
+        frames = drowsy_trace.frames[:300]
+        n_bins = frames.shape[1]
+        sids = [f"g{i}" for i in range(4)]
+        state = _tick_worker([(sid, n_bins, None) for sid in sids])
+        # Two sessions' tick rows per launch at most: every tick splits.
+        monkeypatch.setattr(batched, "_GROUP_ELEMS", 2 * 16 * n_bins)
+        slots = [(i, 1, k / _FPS, frames[k]) for k in range(len(frames)) for i in range(4)]
+        _run_ticks(state, slots, n_bins)
+        want = _blinks(_solo("g", frames))
+        assert want, "trace produced no blinks: gate is vacuous"
+        for sid in sids:
+            state.by_id[sid].flush_detector()
+            assert _blinks(state.by_id[sid]) == want
+
+    def test_mirror_flush_stamps_tail_blink_inside_stream(self, tail_blink_trace):
+        frames, stamps = tail_blink_trace
+        n_bins = frames.shape[1]
+        state = _tick_worker([("tail", n_bins, None)])
+        mirror = state.by_id["tail"]
+        _run_ticks(state, [(0, 1, float(t), f) for t, f in zip(stamps, frames)], n_bins)
+        before = len(mirror.blink_events)
+        mirror.flush_detector()
+        assert len(mirror.blink_events) == before + 1, "no end-of-stream blink"
+        assert all(stamps[0] <= t <= stamps[-1] for t in mirror.blink_times_s)
+
+    def test_unrouted_frames_consumed_and_counted(self):
+        state = _tick_worker([("r0", _N_BINS, None)])
+        rng = np.random.default_rng(3)
+        frame = (rng.standard_normal(_N_BINS) + 1j).astype(np.complex64)
+        slots = [(0, 1, 0.0, frame), (7, 1, 0.0, frame), (7, 1, 0.04, frame), (0, 1, 0.04, frame)]
+        _run_ticks(state, slots, _N_BINS)
+        assert state.registry.counter("shard.unrouted_frames").value == 2
+        assert state.by_id["r0"].frames_processed == 2
+        assert state.consumed == {"r0": 2}
+
+    def test_mirror_restart_flushes_queued_frames_stale(self):
+        state = _tick_worker([("s0", _N_BINS, None)])
+        mirror = state.by_id["s0"]
+        first = mirror.detector
+        rng = np.random.default_rng(4)
+        frames = (rng.standard_normal((6, _N_BINS)) + 1j).astype(np.complex64)
+        # The parent restarted after three frames were queued: one tick
+        # carries both generations; the old ones flush as stale.
+        slots = [(0, 1, k / _FPS, frames[k]) for k in range(3)]
+        slots += [(0, 2, k / _FPS, frames[k]) for k in range(3, 6)]
+        _run_ticks(state, slots, _N_BINS)
+        assert mirror.generation == 2
+        assert mirror.detector is not first
+        assert mirror.frames_processed == 3
+        assert state.registry.counter("session.s0.dropped_stale").value == 3
+        assert state.consumed == {"s0": 6}
+
+
+class TestChipFree:
+    """Network-fed sessions never build the emulated chip."""
+
+    @pytest.fixture()
+    def no_chip(self, monkeypatch):
+        from repro.hardware.device import UwbRadarDevice
+        from repro.hardware.driver import FrameStream, XepDriver
+        from repro.hardware.spi import SpiBus
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chip-free session built emulated hardware")
+
+        for cls in (UwbRadarDevice, SpiBus, XepDriver, FrameStream):
+            monkeypatch.setattr(cls, "__init__", refuse)
+
+    def test_ingest_session_lifecycle_builds_no_chip(self, no_chip):
+        session = IngestSession("nc0", n_bins=_N_BINS, frame_rate_hz=_FPS)
+        session.start()
+        session.request_restart()
+        assert session.produce() is None
+        assert session.generation == 2 and session.restarts == 1
+        session.request_stop()
+        session.produce()
+        session.close()
+
+    def test_shard_mirror_lifecycle_builds_no_chip(self, no_chip):
+        state = _tick_worker([("nc1", _N_BINS, None)])
+        mirror = state.by_id["nc1"]
+        mirror.adopt_generation(3)
+        assert mirror.generation == 3
+        mirror.flush_detector()
+        mirror.close()
