@@ -83,11 +83,12 @@ class RestartEvent(FleetEvent):
     ----------
     reason:
         ``"spi_fault"`` (device soft-reset after a wire fault),
-        ``"movement"`` (the detector's own body-movement restart), or
-        ``"manual"`` (operator-requested via the service).
+        ``"movement"`` (the detector's own body-movement restart),
+        ``"manual"`` (operator-requested via the service), or
+        ``"error"`` (a fresh detector after a processing exception).
     attempts:
         Recovery attempts it took (1 for a clean first-try recovery;
-        always 1 for ``movement``/``manual``).
+        always 1 for ``movement``/``manual``/``error``).
     """
 
     reason: str

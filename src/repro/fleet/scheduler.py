@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import threading
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.fleet.events import FrameDropEvent
-from repro.fleet.metrics import MetricsRegistry
+from repro.fleet.metrics import Gauge, MetricsRegistry
 from repro.fleet.session import DetectorSession, FrameItem
 
 __all__ = ["FleetScheduler"]
@@ -63,6 +62,8 @@ class _SessionSlot:
     queue: deque[_QueueEntry] = field(default_factory=deque)
     claimed: bool = False
     dropped: int = 0
+    #: ``session.<id>.queue_depth``, bound on the first enqueue.
+    depth_gauge: Gauge | None = None
 
 
 class FleetScheduler:
@@ -193,7 +194,10 @@ class FleetScheduler:
             session._emit(
                 FrameDropEvent(session.session_id, session.time_s, dropped_now, where="queue")
             )
-        self.metrics.gauge(f"session.{session.session_id}.queue_depth").set(depth)
+        gauge = slot.depth_gauge
+        if gauge is None:
+            gauge = slot.depth_gauge = self.metrics.gauge(f"session.{session.session_id}.queue_depth")
+        gauge.set(depth)
         return bool(dropped_now)
 
     # -------------------------------------------------------- external ingest
@@ -324,17 +328,9 @@ class FleetScheduler:
                 )
             except Exception as exc:  # reprolint: disable=except-hygiene
                 # Fault containment: a processing fault costs its session
-                # the batch's unsettled frames, counted and evented; the
-                # worker thread lives on to serve every other session.
-                lost = len(batch) - session._batch_settled
-                if lost > 0:
-                    self.metrics.counter(f"session.{session.session_id}.dropped_error").inc(lost)
-                    self.metrics.counter("fleet.dropped_error").inc(lost)
-                    session._emit(
-                        FrameDropEvent(session.session_id, session.time_s, lost, where="error")
-                    )
-                where = traceback.extract_tb(exc.__traceback__)[-1]
-                session._note_fault(f"processing error {exc!r} at {where.filename}:{where.lineno}")
+                # the batch and a detector restart; the worker thread
+                # lives on to serve every other session.
+                session.recover_from_error(exc, len(batch))
             finally:
                 with self._cond:
                     slot.claimed = False

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -53,7 +54,7 @@ from repro.fleet.events import (
     RestartEvent,
     StateChangeEvent,
 )
-from repro.fleet.metrics import Counter, MetricsRegistry
+from repro.fleet.metrics import Counter, Histogram, MetricsRegistry
 from repro.hardware.device import UwbRadarDevice
 from repro.hardware.driver import FrameStream, XepDriver
 from repro.hardware.spi import SpiBus, SpiError, SpiSlave
@@ -182,6 +183,14 @@ class DetectorSession:
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._sink = sink
+        # Instruments bound on first use (the registry then sees the same
+        # names in the same order it always did) and kept, so the per-frame
+        # path never re-resolves a name under the registry's lock. The pump
+        # and a worker may both bind one name at once; the registry hands
+        # both the same object, so the race is harmless.
+        self._counters: dict[str, Counter] = {}
+        self._fleet_counters: dict[str, Counter] = {}
+        self._latency: tuple[Histogram, Histogram] | None = None
         self.n_bins = n_bins
         self.frame_rate_hz = frame_rate_hz
         self._chip: _EmulatedChip | None = None
@@ -263,7 +272,29 @@ class DetectorSession:
         )
 
     def _metric(self, name: str) -> Counter:
-        return self.metrics.counter(f"session.{self.session_id}.{name}")
+        """Counter ``session.<id>.<name>`` (bound on first use)."""
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self.metrics.counter(f"session.{self.session_id}.{name}")
+            self._counters[name] = counter
+        return counter
+
+    def _count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to ``session.<id>.<name>`` and to its total ``fleet.<name>``."""
+        self._metric(name).inc(n)
+        total = self._fleet_counters.get(name)
+        if total is None:
+            total = self._fleet_counters[name] = self.metrics.counter(f"fleet.{name}")
+        total.inc(n)
+
+    def _latency_histograms(self) -> tuple[Histogram, Histogram]:
+        """``session.<id>.latency_s`` and ``fleet.latency_s`` (bound on first use)."""
+        if self._latency is None:
+            self._latency = (
+                self.metrics.histogram(f"session.{self.session_id}.latency_s"),
+                self.metrics.histogram("fleet.latency_s"),
+            )
+        return self._latency
 
     def _apex_time(self, anchor_time_s: float, anchor_index: int, event_index: int) -> float:
         """World time of a blink apex that the detector reported
@@ -302,14 +333,12 @@ class DetectorSession:
         self._transition(SessionState.COLD_START)
 
     def _note_fault(self, detail: str, terminal: bool = False) -> None:
-        self._metric("faults").inc()
-        self.metrics.counter("fleet.faults").inc()
+        self._count("faults")
         self._emit(FaultEvent(self.session_id, self.time_s, detail, terminal=terminal))
 
     def _count_restart(self, reason: str, attempts: int = 1) -> None:
         self.restarts += 1
-        self._metric("restarts").inc()
-        self.metrics.counter("fleet.restarts").inc()
+        self._count("restarts")
         self._emit(RestartEvent(self.session_id, self.time_s, reason, attempts=attempts))
 
     def _shutdown(self) -> None:
@@ -426,6 +455,30 @@ class DetectorSession:
                 )
                 start = k
 
+    def recover_from_error(self, exc: Exception, batch_size: int) -> None:
+        """Contain an exception :meth:`process_batch` raised (worker side).
+
+        Both backends call this, so one poison frame costs its session
+        the same on each: the batch's unsettled frames are counted as
+        ``dropped_error`` and evented, the fault is noted, and the
+        detector — whose state the failed walk may have left half
+        advanced — is replaced by a fresh cold-start one. The generation
+        stays, so frames already queued are processed by the new
+        detector rather than flushed; the swap counts as an ``"error"``
+        restart.
+        """
+        lost = batch_size - self._batch_settled
+        if lost > 0:
+            self._count("dropped_error", lost)
+            self._emit(FrameDropEvent(self.session_id, self.time_s, lost, where="error"))
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        self._note_fault(f"processing error {exc!r} at {where.filename}:{where.lineno}")
+        with self._lock:
+            generation = self._generation
+            self.detector = RealTimeBlinkDetector(self.frame_rate_hz, self.config.detector)
+        self._mirror_state(generation, self.time_s, selected=False)
+        self._count_restart("error")
+
     def _process_run(
         self,
         items: list[FrameItem],
@@ -440,8 +493,7 @@ class DetectorSession:
             return
         if generation != current:
             for _, time_s, _ in items:
-                self._metric("dropped_stale").inc()
-                self.metrics.counter("fleet.dropped_stale").inc()
+                self._count("dropped_stale")
                 self._emit(FrameDropEvent(self.session_id, time_s, 1, where="stale"))
             self._batch_settled += len(items)
             return
@@ -455,17 +507,16 @@ class DetectorSession:
         # must describe the same one.
         self._last_det_index = statuses[-1].frame_index
         self._last_time_s = items[-1][1]
-        self._metric("frames_processed").inc(len(statuses))
-        self.metrics.counter("fleet.frames_processed").inc(len(statuses))
+        self._count("frames_processed", len(statuses))
         for (_, time_s, _), status, enqueued_at in zip(items, statuses, enqueued_ats):
             if enqueued_at is not None:
                 latency = done_at - enqueued_at
-                self.metrics.histogram(f"session.{self.session_id}.latency_s").observe(latency)
-                self.metrics.histogram("fleet.latency_s").observe(latency)
+                own, fleet = self._latency_histograms()
+                own.observe(latency)
+                fleet.observe(latency)
             if status.restarted:
                 self.restarts += 1
-                self._metric("restarts").inc()
-                self.metrics.counter("fleet.restarts").inc()
+                self._count("restarts")
                 self._emit(RestartEvent(self.session_id, time_s, reason="movement"))
             if status.event is not None:
                 # Stamp the blink at its apex in world time: LEVD
@@ -496,8 +547,7 @@ class DetectorSession:
         event = BlinkEvent(self.session_id, time_s, frame_index, prominence)
         self.blink_events.append(event)
         self._emit(event)
-        self._metric("blinks").inc()
-        self.metrics.counter("fleet.blinks").inc()
+        self._count("blinks")
         window = self.config.drowsy_window_s
         times = self._blink_times
         times.append(time_s)
@@ -511,8 +561,7 @@ class DetectorSession:
         rate_bpm = len(times) * 60.0 / window
         if rate_bpm >= self.config.drowsy_rate_threshold_bpm:
             self._last_alert_time_s = time_s
-            self._metric("drowsy_alerts").inc()
-            self.metrics.counter("fleet.drowsy_alerts").inc()
+            self._count("drowsy_alerts")
             self._emit(
                 DrowsyAlertEvent(
                     self.session_id,
@@ -683,8 +732,7 @@ class _EmulatedChip:
 
     def _count_fifo_drops(self, n: int) -> None:
         session = self._session
-        session._metric("dropped_fifo").inc(n)
-        session.metrics.counter("fleet.dropped_fifo").inc(n)
+        session._count("dropped_fifo", n)
         session._emit(FrameDropEvent(session.session_id, session.time_s, n, where="fifo"))
 
     def recover(self, reason: str) -> None:

@@ -14,7 +14,6 @@ emulate the live loop.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Iterator
 
 import numpy as np
@@ -54,7 +53,10 @@ class UwbRadarDevice:
         self.registers = RegisterFile()
         self.full_scale = full_scale
         self.fifo_capacity_bytes = fifo_capacity_bytes
-        self._fifo: deque[int] = deque()
+        # Pushes append a frame's bytes; burst reads and overflow drops
+        # delete a prefix slice, so every FIFO operation costs one call
+        # per transaction, not one per byte.
+        self._fifo = bytearray()
         self._frame_counter = 0
         self._source: Callable[[int], np.ndarray] | None = None
         self._n_bins: int | None = None
@@ -141,10 +143,9 @@ class UwbRadarDevice:
         frame_bytes = len(payload)
         if len(self._fifo) + frame_bytes > self.fifo_capacity_bytes:
             # Overflow: drop the oldest frame, flag it.
-            for _ in range(min(frame_bytes, len(self._fifo))):
-                self._fifo.popleft()
+            del self._fifo[:frame_bytes]
             self._set_status(overflow=True)
-        self._fifo.extend(payload)
+        self._fifo += payload
         self._set_status(frame_ready=True)
         self._sync_count()
         return True
@@ -198,11 +199,13 @@ class UwbRadarDevice:
             if len(body) != 3:
                 return bytes([NAK])
             n = body[1] | (body[2] << 8)
-            if n > len(self._fifo):
+            fifo = self._fifo
+            if n > len(fifo):
                 return bytes([NAK])
-            out = bytes(self._fifo.popleft() for _ in range(n))
+            reply = bytes([ACK]) + fifo[:n]
+            del fifo[:n]
             self._sync_count()
-            return bytes([ACK]) + out
+            return reply
         # Plain register read. The leading ACK keeps a data byte of 0xEE
         # from masquerading as a NAK (see repro.hardware.spi).
         if len(body) != 1:
@@ -219,6 +222,7 @@ class UwbRadarDevice:
             return
         frame_bytes = self._n_bins * 4
         while len(self._fifo) >= frame_bytes:
-            payload = bytes(self._fifo.popleft() for _ in range(frame_bytes))
+            payload = bytes(self._fifo[:frame_bytes])
+            del self._fifo[:frame_bytes]
             self._sync_count()
             yield self.decode_frame(payload)

@@ -18,6 +18,7 @@ driver-side error handling and to carry the full frame stream.
 
 from __future__ import annotations
 
+import functools
 from typing import Protocol
 
 __all__ = ["crc8", "SpiSlave", "SpiBus", "SpiError", "ACK", "NAK"]
@@ -33,13 +34,29 @@ class SpiError(RuntimeError):
     """Raised by the master on protocol errors (bad CRC, NAK, short reply)."""
 
 
-def crc8(data: bytes, poly: int = 0x07, init: int = 0x00) -> int:
-    """CRC-8 (ATM HEC polynomial x⁸+x²+x+1 by default)."""
-    crc = init
-    for byte in data:
-        crc ^= byte
+@functools.cache
+def _crc8_table(poly: int) -> bytes:
+    """The 256 one-byte remainders of ``poly``: entry ``b`` is ``b`` shifted
+    through all eight bit steps, so one lookup replaces a byte's loop."""
+    table = bytearray(256)
+    for byte in range(256):
+        crc = byte
         for _ in range(8):
             crc = ((crc << 1) ^ poly) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+        table[byte] = crc
+    return bytes(table)
+
+
+def crc8(data: bytes, poly: int = 0x07, init: int = 0x00) -> int:
+    """CRC-8 (ATM HEC polynomial x⁸+x²+x+1 by default), MSB first.
+
+    Table-driven: one lookup per byte in a 256-entry table built once
+    per polynomial on first use.
+    """
+    table = _crc8_table(poly & 0xFF)
+    crc = init & 0xFF
+    for byte in data:
+        crc = table[crc ^ byte]
     return crc
 
 

@@ -40,6 +40,7 @@ import numpy as np
 from repro.core.batched import launch_stage1
 from repro.core.preprocess import Preprocessor
 from repro.fleet.events import FleetEvent
+from repro.fleet.session import FrameItem
 from repro.gateway.ingest import IngestSession
 from repro.shard.messages import (
     AttachMsg,
@@ -162,35 +163,51 @@ def _drain_tick(ring: ShmRing, state: _WorkerState) -> int:
     ring_frames = ring.peek(_TICK_MAX)
     if not ring_frames:
         return 0
-    groups: dict[int, list[RingFrame]] = {}
-    for rf in ring_frames:
-        groups.setdefault(rf.session_index, []).append(rf)
-    routed: list[tuple[_ShardSession, Preprocessor, list[RingFrame]]] = []
-    for index, rfs in groups.items():
-        session = state.by_index.get(index)
-        if session is None:
-            # A frame for a session this shard no longer (or never)
-            # homes: consume it loudly, never wedge the ring.
-            state.registry.counter("shard.unrouted_frames").inc(len(rfs))
-            continue
-        session.adopt_generation(max(rf.generation for rf in rfs))
-        # Counted now, shipped by the report that follows this tick.
-        state.consumed[session.session_id] += len(rfs)
-        if session.detector is not None:
-            routed.append((session, session.detector.preprocessor, rfs))
-    blocks = [np.stack([rf.frame for rf in rfs]) for _, _, rfs in routed]
-    for k, denoised in launch_stage1([pre for _, pre, _ in routed], blocks):
-        session, _, rfs = routed[k]
-        session.process_batch(
-            [(rf.generation, rf.timestamp_s, rf.frame) for rf in rfs],
-            enqueued_ats=[rf.enqueued_at for rf in rfs],
-            denoised=denoised,
-        )
     consumed = len(ring_frames)
-    # Drop every shared-memory view before freeing the slots.
-    del ring_frames, groups, routed
+    try:
+        # Group slot positions, not frames: only ``ring_frames`` holds the
+        # slots' shared-memory views, so clearing it releases every one.
+        groups: dict[int, list[int]] = {}
+        for k in range(consumed):
+            groups.setdefault(ring_frames[k].session_index, []).append(k)
+        routed: list[tuple[_ShardSession, Preprocessor, list[int]]] = []
+        for index, slots in groups.items():
+            session = state.by_index.get(index)
+            if session is None:
+                # A frame for a session this shard no longer (or never)
+                # homes: consume it loudly, never wedge the ring.
+                state.registry.counter("shard.unrouted_frames").inc(len(slots))
+                continue
+            session.adopt_generation(max(ring_frames[k].generation for k in slots))
+            # Counted now, shipped by the report that follows this tick.
+            state.consumed[session.session_id] += len(slots)
+            if session.detector is not None:
+                routed.append((session, session.detector.preprocessor, slots))
+        blocks = [np.stack([ring_frames[k].frame for k in slots]) for _, _, slots in routed]
+        for n, denoised in launch_stage1([pre for _, pre, _ in routed], blocks):
+            session, _, slots = routed[n]
+            try:
+                session.process_batch(
+                    [_item(ring_frames[k]) for k in slots],
+                    enqueued_ats=[ring_frames[k].enqueued_at for k in slots],
+                    denoised=denoised,
+                )
+            except Exception as exc:  # reprolint: disable=except-hygiene
+                # Fault containment, as in the threaded worker: the fault
+                # costs this session its slice and a detector restart;
+                # the shard lives on to serve its other sessions.
+                session.recover_from_error(exc, len(slots))
+    finally:
+        # Release the views before the slots are freed — and, should the
+        # tick raise, before the dying worker closes the ring (the
+        # traceback keeps this frame, and so this list, alive).
+        ring_frames.clear()
     ring.advance(consumed)
     return consumed
+
+
+def _item(rf: RingFrame) -> FrameItem:
+    return (rf.generation, rf.timestamp_s, rf.frame)
 
 
 def shard_worker_main(conn: Connection, ring_name: str) -> None:
